@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 import threading
@@ -35,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.metrics.stats import percentile
 from repro.serve.client import QueueFullError, ServeClient, ServeError
 from repro.serve.spec import SPEC_VERSION
 
@@ -209,24 +209,13 @@ def _mean(samples: List[Optional[float]]) -> Optional[float]:
     return round(sum(values) / len(values), 4) if values else None
 
 
-def _percentile(sorted_samples: List[float], q: float) -> float:
-    if not sorted_samples:
-        return 0.0
-    index = min(
-        len(sorted_samples) - 1,
-        max(0, math.ceil(q * len(sorted_samples)) - 1),
-    )
-    return sorted_samples[index]
-
-
 def _latency_doc(samples: List[float]) -> dict:
-    ordered = sorted(samples)
     return {
-        "count": len(ordered),
-        "mean_s": _mean(ordered),
-        "p50_s": round(_percentile(ordered, 0.50), 4),
-        "p95_s": round(_percentile(ordered, 0.95), 4),
-        "p99_s": round(_percentile(ordered, 0.99), 4),
+        "count": len(samples),
+        "mean_s": _mean(samples),
+        "p50_s": round(percentile(samples, 50), 4),
+        "p95_s": round(percentile(samples, 95), 4),
+        "p99_s": round(percentile(samples, 99), 4),
     }
 
 

@@ -71,18 +71,9 @@ LRU_CODE_BY_KIND = {
 # place (never rebinds them), so these stay valid across scenario runs
 # and save an attribute hop on every list operation.
 _KIND = PAGE_SLAB.kind
-_FLAGS = PAGE_SLAB.flags
 _LRU = PAGE_SLAB.lru
 _PREV = PAGE_SLAB.lru_prev
 _NEXT = PAGE_SLAB.lru_next
-
-
-def _active_kind(page: Page) -> LruKind:
-    return LruKind.ACTIVE_ANON if page.is_anon else LruKind.ACTIVE_FILE
-
-
-def _inactive_kind(page: Page) -> LruKind:
-    return LruKind.INACTIVE_ANON if page.is_anon else LruKind.INACTIVE_FILE
 
 
 class LruLists:
@@ -97,21 +88,8 @@ class LruLists:
         self._size = [0, 0, 0, 0, 0]
 
     # ------------------------------------------------------------------
-    # Link primitives (ids)
+    # Link primitives
     # ------------------------------------------------------------------
-    def _append_id(self, i: int, code: int) -> None:
-        """Link ``i`` at the hot end (tail) of list ``code``."""
-        tail = self._tail[code]
-        _PREV[i] = tail
-        _NEXT[i] = 0
-        if tail:
-            _NEXT[tail] = i
-        else:
-            self._head[code] = i
-        self._tail[code] = i
-        _LRU[i] = code
-        self._size[code] += 1
-
     def _unlink_id(self, i: int, code: int) -> None:
         prev = _PREV[i]
         nxt = _NEXT[i]
@@ -158,11 +136,8 @@ class LruLists:
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    def add(self, page: Page, active: bool = False) -> None:
-        """Insert a newly-resident page at the hot end."""
-        self.add_id(page.page_id, active)
-
     def add_id(self, i: int, active: bool = False) -> None:
+        """Insert page ``i`` at the hot end of its (in)active list."""
         code = _LRU[i]
         if code:
             raise ValueError(f"page {i} already on {KIND_BY_LRU_CODE[code]}")
@@ -181,8 +156,8 @@ class LruLists:
         _LRU[i] = code
         self._size[code] += 1
 
-    def remove(self, page: Page) -> None:
-        """Take a page off whatever list it is on (eviction, unmap).
+    def remove_id(self, i: int) -> None:
+        """Take page ``i`` off whatever list it is on (eviction, unmap).
 
         Raises a :class:`ValueError` naming the *specific* inconsistency:
         a page that is on no list at all is a plain double-remove, while
@@ -190,80 +165,23 @@ class LruLists:
         actually contain it indicates corrupted links (slab/view
         desync) and gets a distinct message.
         """
-        self.remove_id(page.page_id)
-
-    def remove_id(self, i: int) -> None:
         code = PAGE_SLAB.lru[i]
         if not code:
             raise ValueError(f"page {i} not on any LRU list")
         self._remove_checked(i, code)
 
-    def discard(self, page: Page) -> None:
-        """Remove if present; no-op otherwise (process teardown)."""
-        self.discard_id(page.page_id)
-
     def discard_id(self, i: int) -> None:
+        """Remove if present; no-op otherwise (process teardown)."""
         code = PAGE_SLAB.lru[i]
         if code:
             self._unlink_id(i, code)
 
-    def contains(self, page: Page) -> bool:
-        code = PAGE_SLAB.lru[page.page_id]
-        return bool(code) and self._linked_here(page.page_id, code)
-
-    # ------------------------------------------------------------------
-    # Aging
-    # ------------------------------------------------------------------
-    def activate(self, page: Page) -> None:
-        """Promote a page to the hot end of its active list."""
-        i = page.page_id
-        code = PAGE_SLAB.lru[i]
-        if not code:
-            raise ValueError(f"page {i} not on any LRU list")
-        self._remove_checked(i, code)
-        self._append_id(i, 1 + (2 if PAGE_SLAB.kind[i] == KIND_FILE else 0))
-
-    def deactivate(self, page: Page) -> None:
-        """Demote a page to the hot end of its inactive list."""
-        i = page.page_id
-        code = PAGE_SLAB.lru[i]
-        if not code:
-            raise ValueError(f"page {i} not on any LRU list")
-        self._remove_checked(i, code)
-        self._append_id(i, 2 + (2 if PAGE_SLAB.kind[i] == KIND_FILE else 0))
-
-    def rotate(self, page: Page) -> None:
-        """Move a page to the hot end of its current list (second chance)."""
-        i = page.page_id
-        code = PAGE_SLAB.lru[i]
-        if not code:
-            raise ValueError(f"page {i} not on any LRU list")
-        self._remove_checked(i, code)
-        self._append_id(i, code)
-
-    # ------------------------------------------------------------------
-    # Scanning
-    # ------------------------------------------------------------------
-    def coldest(self, kind: LruKind) -> Optional[Page]:
-        head = self._head[LRU_CODE_BY_KIND[kind]]
-        if not head:
-            return None
-        return PAGE_SLAB.view(head)
-
-    def pop_coldest(self, kind: LruKind) -> Optional[Page]:
-        code = LRU_CODE_BY_KIND[kind]
-        head = self._head[code]
-        if not head:
-            return None
-        self._unlink_id(head, code)
-        return PAGE_SLAB.view(head)
-
-    def scan_inactive(
+    def scan_inactive_ids(
         self,
         kind: LruKind,
         budget: int,
         protect: Optional[Callable[[Page], bool]] = None,
-    ) -> Tuple[List[Page], int]:
+    ) -> Tuple[List[int], int]:
         """Scan up to ``budget`` cold inactive pages; return eviction victims.
 
         Implements second chance: referenced pages are activated instead
@@ -275,22 +193,11 @@ class LruLists:
         Returns ``(victims, scanned)`` — ``scanned`` is the number of
         pages actually examined, which is less than ``budget`` when the
         list runs dry (callers charge scan CPU from it).
-        """
-        view = PAGE_SLAB.view
-        ids, scanned = self.scan_inactive_ids(kind, budget, protect)
-        return [view(i) for i in ids], scanned
 
-    def scan_inactive_ids(
-        self,
-        kind: LruKind,
-        budget: int,
-        protect: Optional[Callable[[Page], bool]] = None,
-    ) -> Tuple[List[int], int]:
-        """Id-level :meth:`scan_inactive` — the reclaim hot path.
-
-        Pops from the cold end with inline link surgery; survivors are
-        re-appended at the tail, exactly matching the ``OrderedDict``
-        pop-front/insert-back order of the object-backed implementation.
+        This is the reclaim hot path: it pops from the cold end with
+        inline link surgery, and survivors are re-appended at the tail,
+        exactly matching the ``OrderedDict`` pop-front/insert-back order
+        of the object-backed implementation.
         """
         if kind not in (LruKind.INACTIVE_ANON, LruKind.INACTIVE_FILE):
             raise ValueError(f"scan_inactive on non-inactive list {kind}")
@@ -434,17 +341,8 @@ class LruLists:
         sizes = self._size
         return sizes[1] + sizes[2] + sizes[3] + sizes[4]
 
-    def iter_pages(self, kind: LruKind) -> Iterator[Page]:
-        """Cold-to-hot iteration; do not mutate the list while iterating."""
-        slab = PAGE_SLAB
-        i = self._head[LRU_CODE_BY_KIND[kind]]
-        view = slab.view
-        lru_next = slab.lru_next
-        while i:
-            yield view(i)
-            i = lru_next[i]
-
     def iter_ids(self, kind: LruKind) -> Iterator[int]:
+        """Cold-to-hot iteration; do not mutate the list while iterating."""
         lru_next = PAGE_SLAB.lru_next
         i = self._head[LRU_CODE_BY_KIND[kind]]
         while i:

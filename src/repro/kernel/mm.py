@@ -15,16 +15,16 @@ occupancy charged to the block queue); clean file pages are dropped.
 Every eviction installs a shadow entry so the next touch registers as a
 refault.
 
-Hot paths (bulk allocation, the reclaim loop, eviction) run on raw slab
-ids — flag-column bit ops instead of view-object attribute access.  The
-object-level API (``make_resident(page)``, ``release(page)``, ...) is a
-thin delegation layer kept for tests, experiments, and policy code.
+The API takes raw slab ids (``make_resident_id``, ``release_id``,
+``release_process_ids``, ...): allocation, the reclaim loop and eviction
+are flag-column bit ops, with no view objects.  ``Page`` views appear
+only at the policy boundary, in the ``reclaim_protect`` hook.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.devices.specs import DeviceSpec
 from repro.kernel.lru import LruKind, LruLists
@@ -152,14 +152,6 @@ class MemoryManager:
             self._free_pages += self._pool_charge - charge
             self._pool_charge = charge
 
-    def _recompute_free_pages(self) -> int:
-        """Free pages derived from scratch (consistency checks/tests)."""
-        return (
-            self.spec.managed_pages
-            - self._resident_pages
-            - int(self.zram.pool_pages())
-        )
-
     @property
     def managed_pages(self) -> int:
         return self._managed_pages
@@ -182,10 +174,6 @@ class MemoryManager:
         return self._free_pages < self._wm_low
 
     @property
-    def below_min(self) -> bool:
-        return self._free_pages < self._wm_min
-
-    @property
     def below_high(self) -> bool:
         return self._free_pages < self._wm_high
 
@@ -202,11 +190,8 @@ class MemoryManager:
     # ------------------------------------------------------------------
     # Allocation / residency
     # ------------------------------------------------------------------
-    def make_resident(self, page: Page, active: bool = False) -> AllocationOutcome:
-        """Bring one page into memory; may trigger direct reclaim."""
-        return self.make_resident_id(page.page_id, active=active)
-
     def make_resident_id(self, i: int, active: bool = False) -> AllocationOutcome:
+        """Bring page ``i`` into memory; may trigger direct reclaim."""
         outcome = AllocationOutcome()
         flags = PAGE_SLAB.flags
         if flags[i] & PRESENT:
@@ -226,18 +211,11 @@ class MemoryManager:
         self._check_watermarks()
         return outcome
 
-    def make_resident_bulk(
-        self, pages: List[Page], active: bool = False
-    ) -> AllocationOutcome:
-        """Fault-in / allocate a batch of pages."""
-        return self.make_resident_bulk_ids(
-            [page.page_id for page in pages], active=active
-        )
-
     def make_resident_bulk_ids(
         self, ids: Iterable[int], active: bool = False
     ) -> AllocationOutcome:
-        """Id-level bulk allocation — the footprint/launch hot path.
+        """Fault-in / allocate a batch of pages — the footprint/launch
+        hot path.
 
         The free/resident counters and the pgalloc vmstat run in locals
         and are written back in one shot; reclaim (which reads and
@@ -292,11 +270,8 @@ class MemoryManager:
         outcome.stall_ms += stall
         self.vmstat.alloc_stall_ms += stall
 
-    def release(self, page: Page) -> None:
-        """A resident page leaves memory without eviction (free/unmap)."""
-        self.release_id(page.page_id)
-
     def release_id(self, i: int) -> None:
+        """A resident page leaves memory without eviction (free/unmap)."""
         flags = PAGE_SLAB.flags
         if not flags[i] & PRESENT:
             return
@@ -306,12 +281,9 @@ class MemoryManager:
         self._free_pages += 1
         self.vmstat.pgfree += 1
 
-    def discard_page(self, page: Page) -> None:
+    def discard_page_id(self, i: int) -> None:
         """Drop one page entirely: free it if resident, otherwise clear
         its swap slot / shadow entry (transient-allocation teardown)."""
-        self.discard_page_id(page.page_id)
-
-    def discard_page_id(self, i: int) -> None:
         slab = PAGE_SLAB
         if slab.flags[i] & PRESENT:
             self.release_id(i)
@@ -320,12 +292,9 @@ class MemoryManager:
                 self.zram.discard(i)
             self.workingset.drop_shadow_id(i)
 
-    def release_process_pages(self, pages: Iterable[Page]) -> int:
+    def release_process_ids(self, ids: Iterable[int]) -> int:
         """Tear down a dead process: free resident pages, drop zram slots
         and shadow entries.  Returns the number of resident pages freed."""
-        return self.release_process_ids([page.page_id for page in pages])
-
-    def release_process_ids(self, ids: Iterable[int]) -> int:
         flags = PAGE_SLAB.flags
         freed = 0
         discard = self.discard_page_id
@@ -405,10 +374,12 @@ class MemoryManager:
             if progress == 0:
                 break
             remaining -= progress
+        vmstat = self.vmstat
+        vmstat.pgscan += result.scanned
         if direct:
-            self.vmstat.pgsteal_direct += result.reclaimed
+            vmstat.pgsteal_direct += result.reclaimed
         else:
-            self.vmstat.pgsteal_kswapd += result.reclaimed
+            vmstat.pgsteal_kswapd += result.reclaimed
         return result
 
     def _shrink_round(self, target: int, result: ReclaimResult) -> int:
@@ -539,11 +510,8 @@ class MemoryManager:
         result.reclaimed += evicted
         return evicted
 
-    def _evict_page(self, page: Page, now: float) -> float:
+    def _evict_page_id(self, i: int) -> float:
         """Evict one page already removed from the LRU.  Returns CPU ms."""
-        return self._evict_page_id(page.page_id, now)
-
-    def _evict_page_id(self, i: int, now: float) -> float:
         cost = EVICT_COST_MS
         slab = PAGE_SLAB
         vmstat = self.vmstat

@@ -16,11 +16,11 @@ evicted, :class:`~repro.kernel.workingset.WorkingSet` stores a shadow
 entry in ``shadow_eviction_clock`` so the subsequent fault can be
 recognised as a refault.
 
-Since the slab refactor the page state itself lives in the columnar
+The page state itself lives in the columnar
 :data:`~repro.kernel.slab.PAGE_SLAB`; :class:`Page` is a one-slot
-*view* object whose properties read and write the columns.  The object
-API (including identity: the slab caches one view per id) is unchanged,
-but hot paths operate on raw ids and never build views.
+*view* object whose properties read and write the columns (the slab
+caches one view per id).  The kernel API takes raw ids; views are only
+handed to policy code and whole-table reports.
 """
 
 from __future__ import annotations

@@ -20,8 +20,10 @@ subscribed), or an ``AllocationOutcome`` (unless direct reclaim
 actually runs) — the allocation, contention-charge, watermark-check,
 and young-bit updates are inlined as flag-column bit ops.  The order of
 every vmstat increment, PSI record, float addition, and LRU operation
-matches the object-level ``handle`` exactly, which is what keeps paper
-metrics bit-identical.  ``handle`` remains as the object-API wrapper.
+is part of the output: reordering them changes paper metrics, which
+``repro bench compare`` checks at exact tolerance.  ``handle`` wraps it
+for one ``Page`` and returns a :class:`FaultOutcome`; nothing in the
+simulator calls it, but the perfbench layer tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.kernel.mm import (
     MemoryManager,
     OutOfMemoryError,
 )
-from repro.kernel.page import HeapKind, Page
+from repro.kernel.page import Page
 from repro.kernel.slab import (
     DIRTY,
     HEAP_JAVA,
@@ -106,8 +108,8 @@ class PageFaultHandler:
         with direct reclaim (the Android layer then runs the LMK).
 
         Object-API wrapper over :meth:`handle_id`; the refault event (if
-        any) is reconstructed for the outcome so callers see the same
-        shape as before the slab refactor.
+        any) is reconstructed for the outcome.  Kept because perfbench's
+        layer tracer names it in ``ENTRY_POINTS``.
         """
         service_ms, io_complete_at, distance, direct_reclaims = self.handle_id(
             page.page_id, pid, uid, foreground, write
@@ -192,7 +194,7 @@ class PageFaultHandler:
         else:
             distance = -1
         if distance >= 0:
-            # --- refault accounting (was _account_refault) ------------
+            # --- refault accounting ----------------------------------
             vmstat.refault_total += 1
             if foreground:
                 vmstat.refault_fg += 1
@@ -287,21 +289,3 @@ class PageFaultHandler:
         else:
             flags[i] |= REFERENCED
         return service_ms, io_complete_at, distance, direct_reclaims
-
-    def _account_refault(self, page: Page, refault: RefaultEvent) -> None:
-        # Retained for API compatibility (experiments may call it); the
-        # fused path inlines this accounting.
-        stats = self.mm.vmstat
-        stats.refault_total += 1
-        if refault.foreground:
-            stats.refault_fg += 1
-        else:
-            stats.refault_bg += 1
-        if page.is_anon:
-            stats.refault_anon += 1
-            if page.heap is HeapKind.JAVA:
-                stats.refault_java_heap += 1
-            else:
-                stats.refault_native_heap += 1
-        else:
-            stats.refault_file += 1

@@ -8,8 +8,9 @@ this is how RPF attributes a refault to a process (§4.2.1, "Process
 selection").
 
 Segments store **page ids** (ints into :data:`~repro.kernel.slab.PAGE_SLAB`)
-rather than view objects; ``pages`` materialises views lazily for the
-object API.  ``build_block`` is the bulk construction path: a process
+rather than view objects; ``all_pages`` materialises views only for
+the consumers that need ``Page`` semantics (procfs, the Figure 4
+categorisation).  ``build_block`` is the construction path: a process
 footprint of N pages becomes one slab block allocation instead of N
 ``Page.__init__`` calls.
 """
@@ -33,12 +34,6 @@ class Segment:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @property
-    def pages(self) -> List[Page]:
-        """Materialised views (object API; not used on hot paths)."""
-        view = PAGE_SLAB.view
-        return [view(i) for i in self.ids]
 
     def resident(self) -> int:
         flags = PAGE_SLAB.flags
@@ -70,14 +65,6 @@ class PageTable:
             return self.JAVA_HEAP
         return self.NATIVE_HEAP
 
-    def build_page(
-        self, kind: PageKind, heap: HeapKind, dirty: bool = False, hot: bool = False
-    ) -> Page:
-        """Create a page owned by this table's process and register it."""
-        page = Page(kind=kind, owner=self.owner, heap=heap, dirty=dirty, hot=hot)
-        self.segments[self._segment_name(kind, heap)].ids.append(page.page_id)
-        return page
-
     def build_block(
         self,
         count: int,
@@ -107,13 +94,6 @@ class PageTable:
         self.segments[self._segment_name(kind, heap)].ids.extend(ids)
         return ids
 
-    def segment_for(self, page: Page) -> Segment:
-        if page.is_file:
-            return self.segments[self.FILE_MAP]
-        if page.heap is HeapKind.JAVA:
-            return self.segments[self.JAVA_HEAP]
-        return self.segments[self.NATIVE_HEAP]
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -130,9 +110,6 @@ class PageTable:
             self.segments[self.FILE_MAP].ids,
         )
         return java + native + file_map
-
-    def pages_of(self, segment_name: str) -> List[Page]:
-        return self.segments[segment_name].pages
 
     def ids_of(self, segment_name: str) -> List[int]:
         return self.segments[segment_name].ids

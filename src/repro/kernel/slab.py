@@ -21,11 +21,14 @@ integer page id.
   bookkeeping (shadow clock 0 means "no shadow entry").
 * ``owner`` holds the owning process reference (duck-typed, as before).
 
-``Page`` (:mod:`repro.kernel.page`) is now a *view*: a one-slot object
+Integer ids are the kernel's only API: the LRU lists, the memory
+manager, the workingset and the fault path all take and return ids.
+``Page`` (:mod:`repro.kernel.page`) is a *view*: a one-slot object
 holding only ``page_id`` whose properties read and write these columns.
-Views are cached per id (``views``) so object identity — which tests
-and policy code rely on (``lru.coldest(...) is page``) — is preserved.
-Hot paths skip views entirely and operate on raw ids.
+Views exist only at the policy boundary — the ``reclaim_protect`` hook,
+``RefaultEvent.page`` and the ``all_pages()`` iterators used by procfs
+and the Figure 4 study.  They are cached per id (``views``) so the same
+id always yields the same object, which policies may key on.
 
 The slab is process-global, mirroring the pre-existing global page-id
 counter: ``reset_page_ids()`` (called at the top of every scenario run)
@@ -151,11 +154,6 @@ class PageSlab:
     def __len__(self) -> int:
         """Number of live ids (allocated minus recycled)."""
         return self._next_id - 1 - len(self.free_list)
-
-    @property
-    def next_id(self) -> int:
-        """The id the next (non-recycled) allocation would get."""
-        return self._next_id
 
     # ------------------------------------------------------------------
     # Allocation

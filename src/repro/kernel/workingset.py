@@ -80,11 +80,6 @@ class WorkingSet:
         # Optional VmStat to mirror shed counts into (wired by the MM).
         self.vmstat = vmstat
 
-    @property
-    def shadow_bytes(self) -> int:
-        """Current byte charge of live shadow entries."""
-        return self.shadow_entries * SHADOW_ENTRY_BYTES
-
     # ------------------------------------------------------------------
     # Observer registration (RPF subscribes here)
     # ------------------------------------------------------------------
@@ -97,11 +92,8 @@ class WorkingSet:
     # ------------------------------------------------------------------
     # Eviction / fault hooks called by the MM layer
     # ------------------------------------------------------------------
-    def record_eviction(self, page: Page) -> None:
-        """Install a shadow entry for a page leaving memory."""
-        self.record_eviction_id(page.page_id)
-
     def record_eviction_id(self, i: int) -> None:
+        """Install a shadow entry for page ``i`` leaving memory."""
         clock = self.eviction_clock + 1
         self.eviction_clock = clock
         slab = PAGE_SLAB
@@ -153,38 +145,16 @@ class WorkingSet:
         slab.refaults[i] += 1
         return self.eviction_clock - clock
 
-    def check_refault(
-        self, now_ms: float, page: Page, pid: int, uid: int, foreground: bool
-    ) -> Optional[RefaultEvent]:
-        """Resolve a fault: if a shadow entry exists this is a refault.
-
-        Clears the shadow entry, computes the refault distance, notifies
-        observers, and returns the event (or ``None`` for a first-touch
-        fault).
-        """
-        distance = self._resolve_refault(page.page_id)
-        if distance < 0:
-            return None
-        event = RefaultEvent(
-            time_ms=now_ms,
-            page=page,
-            pid=pid,
-            uid=uid,
-            foreground=foreground,
-            refault_distance=distance,
-        )
-        for observer in list(self._observers):
-            observer(event)
-        return event
-
     def check_refault_id(
         self, now_ms: float, i: int, pid: int, uid: int, foreground: bool
     ) -> int:
-        """Id-level :meth:`check_refault` for the fused fault path.
+        """Resolve a fault on page ``i``: a shadow entry means a refault.
 
-        Returns the refault distance (``-1`` for first touch).  The
-        :class:`RefaultEvent` is only materialised when observers are
-        subscribed — the common no-policy case allocates nothing.
+        Clears the shadow entry and returns the refault distance (``-1``
+        for a first-touch fault).  Observers receive a
+        :class:`RefaultEvent`, which is only materialised when some are
+        subscribed — the common no-policy case allocates nothing.  The
+        fused fault path in :mod:`repro.kernel.page_fault` inlines this.
         """
         distance = self._resolve_refault(i)
         if distance >= 0 and self._observers:
@@ -200,11 +170,8 @@ class WorkingSet:
                 observer(event)
         return distance
 
-    def drop_shadow(self, page: Page) -> None:
-        """Forget a shadow entry (the owning process died)."""
-        self.drop_shadow_id(page.page_id)
-
     def drop_shadow_id(self, i: int) -> None:
+        """Forget a shadow entry (the owning process died)."""
         slab = PAGE_SLAB
         if slab.shadow[i]:
             slab.shadow[i] = 0

@@ -179,9 +179,6 @@ class CfsScheduler:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def runnable_tasks(self) -> List[Task]:
-        return sorted(self._runnable.values(), key=_ORDER_KEY)
-
     def tick(self, now: float) -> float:
         """Run one scheduling quantum; returns busy core-ms consumed."""
         # Wake pass over the blocked set only (a handful of tasks) —
@@ -306,9 +303,3 @@ class CfsScheduler:
                 self._min_vruntime = lowest
         self.stats.record(now, busy)
         return busy
-
-    def _wake_blocked(self, now: float) -> None:
-        for task in list(self._blocked.values()):
-            if task.blocked_until <= now:
-                task.blocked_until = 0.0
-                task.unblock()

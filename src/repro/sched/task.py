@@ -215,10 +215,6 @@ class Task:
     def effective_weight(self) -> float:
         return self.weight * self.boost
 
-    def set_nice(self, nice: int) -> None:
-        self.nice = nice
-        self.weight = nice_to_weight(nice)
-
     # ------------------------------------------------------------------
     # Work submission
     # ------------------------------------------------------------------

@@ -201,9 +201,6 @@ class MobileSystem:
     def _reclaim_protect(self, page: Page) -> bool:
         return self.policy.reclaim_protect(page)
 
-    def _sched_key(self, task: Task) -> float:
-        return self.policy.sched_pick_key(task)
-
     def _is_background_task(self, task: Task) -> bool:
         """Background-app tasks live in the little-cluster cpuset."""
         process = task.process
@@ -261,7 +258,8 @@ class MobileSystem:
     def touch_pages(self, process: Process, pages: List[Page], write: bool = False) -> float:
         """CPU touches to ``pages``; returns blocking fault time in ms.
 
-        Object-API wrapper over :meth:`touch_ids`.
+        Object-API wrapper over :meth:`touch_ids`, kept because
+        perfbench's layer tracer names it in ``ENTRY_POINTS``.
         """
         return self.touch_ids(
             process, [page.page_id for page in pages], write
@@ -325,20 +323,12 @@ class MobileSystem:
                 break
         return cpu_ms + max(0.0, io_until - self.sim.now)
 
-    def _fault(self, page: Page, process: Process, foreground: bool, write: bool):
-        for _attempt in range(3):
-            try:
-                return self.fault_handler.handle(
-                    page, process.pid, process.uid, foreground, write
-                )
-            except OutOfMemoryError:
-                victim = self.lmk.kill_one("page-fault")
-                if victim is None or victim is process.app:
-                    return None
-        return None
-
     def allocate_pages(self, process: Process, pages: List[Page]) -> float:
-        """Make ``pages`` resident (fresh allocation); returns stall ms."""
+        """Make ``pages`` resident (fresh allocation); returns stall ms.
+
+        Object-API wrapper over :meth:`allocate_ids`, kept because
+        perfbench's layer tracer names it in ``ENTRY_POINTS``.
+        """
         return self.allocate_ids(process, [page.page_id for page in pages])
 
     def allocate_ids(self, process: Process, ids: List[int]) -> float:
@@ -394,15 +384,3 @@ class MobileSystem:
         stats = self.sched.stats
         stats.busy_ms_total = 0.0
         stats.samples.clear()
-
-    def memory_summary(self) -> Dict[str, float]:
-        return {
-            "managed_pages": self.mm.managed_pages,
-            "resident_pages": self.mm.resident_pages,
-            "free_pages": self.mm.free_pages,
-            "zram_stored": self.zram.stored_pages,
-            "zram_pool_pages": self.zram.pool_pages(),
-            "high_wm": self.spec.high_watermark_pages,
-            "low_wm": self.spec.low_watermark_pages,
-            "min_wm": self.spec.min_watermark_pages,
-        }

@@ -6,6 +6,7 @@ from repro.devices.specs import DeviceSpec, StorageSpec
 from repro.kernel.mm import MemoryManager
 from repro.kernel.page import HeapKind, Page, PageKind
 from repro.kernel.page_fault import PageFaultHandler
+from repro.kernel.slab import LRU_ACTIVE_ANON, LRU_ACTIVE_FILE, PAGE_SLAB
 from repro.storage.flash import FlashDevice
 from repro.storage.zram import ZramDevice
 
@@ -76,3 +77,17 @@ def make_pages(count: int, kind=PageKind.ANON, heap=HeapKind.NATIVE, owner=None,
     if kind is PageKind.FILE:
         return [Page(kind=kind, owner=owner, dirty=dirty) for _ in range(count)]
     return [Page(kind=kind, owner=owner, heap=heap) for _ in range(count)]
+
+
+def page_ids(pages):
+    return [page.page_id for page in pages]
+
+
+def relink(lru, i, active=None):
+    """Move page ``i`` to the hot end of its active (``True``), inactive
+    (``False``) or current (``None``) list: ``remove_id`` + ``add_id``,
+    the id-API spelling of activate/deactivate/rotate."""
+    if active is None:
+        active = PAGE_SLAB.lru[i] in (LRU_ACTIVE_ANON, LRU_ACTIVE_FILE)
+    lru.remove_id(i)
+    lru.add_id(i, active)

@@ -12,6 +12,7 @@ from repro.android.oom_adj import (
 )
 from repro.apps.catalog import get_profile
 from repro.apps.profiles import AppCategory, AppProfile
+from repro.kernel.slab import DIRTY, HOT, PAGE_SLAB
 
 
 def make_app(**overrides) -> Application:
@@ -98,12 +99,13 @@ def test_build_footprint_counts_and_hotness():
         hot_frac=0.5, file_dirty_frac=0.1,
     )
     table = process.page_table
-    assert len(table.pages_of("java_heap")) == 10
-    assert len(table.pages_of("native_heap")) == 20
-    assert len(table.pages_of("file_map")) == 30
-    hot_java = sum(1 for page in table.pages_of("java_heap") if page.hot)
+    assert len(table.ids_of("java_heap")) == 10
+    assert len(table.ids_of("native_heap")) == 20
+    assert len(table.ids_of("file_map")) == 30
+    flags = PAGE_SLAB.flags
+    hot_java = sum(1 for i in table.ids_of("java_heap") if flags[i] & HOT)
     assert hot_java == 5
-    dirty_file = sum(1 for page in table.pages_of("file_map") if page.dirty)
+    dirty_file = sum(1 for i in table.ids_of("file_map") if flags[i] & DIRTY)
     assert dirty_file == 3
 
 

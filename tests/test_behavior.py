@@ -5,6 +5,7 @@ import pytest
 from repro.android.app import AppState
 from repro.apps.behavior import PageSampler, TOUCH_CHUNK_PAGES, submit_touch
 from repro.apps.catalog import get_profile
+from repro.kernel.slab import HEAP_JAVA, KIND_ANON, KIND_FILE, PAGE_SLAB
 from repro.sched.task import Task
 from repro.sim.rng import RngStream
 from repro.system import MobileSystem
@@ -35,35 +36,34 @@ def sampler_for(system, package):
 # ----------------------------------------------------------------------
 def test_sampler_counts(staged):
     sampler = sampler_for(staged, "WhatsApp")
-    assert len(sampler.all_pages) == len(sampler.java) + len(sampler.native) + len(sampler.file)
-    assert sampler.hot_pages
+    assert sampler.all_ids == sampler.java_ids + sampler.native_ids + sampler.file_ids
+    assert sampler.hot_ids
 
 
 def test_sample_respects_count(staged):
     sampler = sampler_for(staged, "WhatsApp")
-    assert len(sampler.sample(50)) == 50
+    assert len(sampler.sample_ids(50)) == 50
 
 
 def test_sample_burst_mixes_segments(staged):
     sampler = sampler_for(staged, "WhatsApp")
-    picks = sampler.sample_burst(300)
-    kinds = {page.kind.value for page in picks}
-    assert "file" in kinds and "anon" in kinds
+    picks = sampler.sample_burst_ids(300)
+    kinds = {PAGE_SLAB.kind[i] for i in picks}
+    assert kinds == {KIND_ANON, KIND_FILE}
 
 
 def test_sample_gc_walks_java_only(staged):
     sampler = sampler_for(staged, "WhatsApp")
-    picks = sampler.sample_gc(0.5)
+    picks = sampler.sample_gc_ids(0.5)
     assert picks
-    assert all(page.heap.value == "java" for page in picks)
-    assert len(picks) == int(len(sampler.java) * 0.5)
+    assert all(PAGE_SLAB.heap[i] == HEAP_JAVA for i in picks)
+    assert len(picks) == int(len(sampler.java_ids) * 0.5)
 
 
 def test_sample_segment_contiguous(staged):
     sampler = sampler_for(staged, "WhatsApp")
-    picks = sampler.sample_segment(sampler.native, 10)
-    ids = [page.page_id for page in picks]
-    assert ids == sorted(ids)
+    picks = sampler.sample_segment(sampler.native_ids, 10)
+    assert picks == sorted(picks)
     assert len(picks) == 10
 
 
@@ -75,7 +75,7 @@ def test_submit_touch_chunks_large_batches(staged):
     app = system.get_app("WhatsApp")
     process = app.main_process
     task = Task("probe", process=process)
-    pages = sampler_for(system, "WhatsApp").sample(TOUCH_CHUNK_PAGES * 3 + 10)
+    pages = sampler_for(system, "WhatsApp").sample_ids(TOUCH_CHUNK_PAGES * 3 + 10)
     submit_touch(system, task, process, pages, cpu_ms=4.0, label="test")
     assert len(task.queue) == 4
 
@@ -85,7 +85,7 @@ def test_submit_touch_completion_on_last_chunk(staged):
     process = system.get_app("WhatsApp").main_process
     task = Task("probe", process=process)
     done = []
-    pages = sampler_for(system, "WhatsApp").sample(TOUCH_CHUNK_PAGES + 1)
+    pages = sampler_for(system, "WhatsApp").sample_ids(TOUCH_CHUNK_PAGES + 1)
     submit_touch(system, task, process, pages, cpu_ms=2.0, label="t",
                  on_complete=lambda: done.append(1))
     items = list(task.queue)

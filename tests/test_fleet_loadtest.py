@@ -5,12 +5,12 @@ import pytest
 from repro.fleet.loadtest import (
     LoadtestConfig,
     _latency_doc,
-    _percentile,
     _priority_class,
     find_knee,
     generate_mix,
     mmk_model,
 )
+from repro.metrics.stats import percentile
 
 
 # ----------------------------------------------------------------------
@@ -54,13 +54,14 @@ def test_mix_contains_duplicates_and_valid_fields():
 # ----------------------------------------------------------------------
 # Statistics helpers
 # ----------------------------------------------------------------------
-def test_percentiles_nearest_rank():
-    samples = sorted(float(i) for i in range(1, 101))
-    assert _percentile(samples, 0.50) == 50.0
-    assert _percentile(samples, 0.95) == 95.0
-    assert _percentile(samples, 0.99) == 99.0
-    assert _percentile([4.2], 0.99) == 4.2
-    assert _percentile([], 0.5) == 0.0
+def test_latency_doc_uses_metrics_percentile():
+    samples = [0.5, 0.125, 2.0, 0.25, 1.0, 0.75, 4.0]
+    doc = _latency_doc(samples)
+    for key, pct in (("p50_s", 50), ("p95_s", 95), ("p99_s", 99)):
+        assert doc[key] == round(percentile(samples, pct), 4)
+    assert doc["p95_s"] == 3.4  # interpolated between 2.0 and 4.0
+    assert _latency_doc([4.2])["p99_s"] == 4.2
+    assert _latency_doc([])["p50_s"] == 0.0
 
 
 def test_latency_doc_shape():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.kernel.page import HeapKind, Page, PageKind
 from repro.kernel.page_table import PageTable
+from repro.kernel.slab import PAGE_SLAB
 
 
 def make_anon(heap=HeapKind.NATIVE, **kw):
@@ -62,19 +63,34 @@ def test_shadow_entry_marks_eviction():
 # ----------------------------------------------------------------------
 # PageTable
 # ----------------------------------------------------------------------
+def build_one(table, kind, heap):
+    """One page built through ``build_block``, returned as its view."""
+    (i,) = table.build_block(1, kind, heap)
+    return PAGE_SLAB.view(i)
+
+
 def test_build_page_lands_in_correct_segment():
     table = PageTable(owner=None)
-    anon_j = table.build_page(PageKind.ANON, HeapKind.JAVA)
-    anon_n = table.build_page(PageKind.ANON, HeapKind.NATIVE)
-    filep = table.build_page(PageKind.FILE, HeapKind.NONE)
-    assert anon_j in table.pages_of(PageTable.JAVA_HEAP)
-    assert anon_n in table.pages_of(PageTable.NATIVE_HEAP)
-    assert filep in table.pages_of(PageTable.FILE_MAP)
+    anon_j = table.build_block(1, PageKind.ANON, HeapKind.JAVA)[0]
+    anon_n = table.build_block(1, PageKind.ANON, HeapKind.NATIVE)[0]
+    filep = table.build_block(1, PageKind.FILE, HeapKind.NONE)[0]
+    assert table.ids_of(PageTable.JAVA_HEAP) == [anon_j]
+    assert table.ids_of(PageTable.NATIVE_HEAP) == [anon_n]
+    assert table.ids_of(PageTable.FILE_MAP) == [filep]
+
+
+def test_build_block_rejects_mismatched_heap():
+    table = PageTable(owner=None)
+    with pytest.raises(ValueError):
+        table.build_block(2, PageKind.FILE, HeapKind.JAVA)
+    with pytest.raises(ValueError):
+        table.build_block(2, PageKind.ANON, HeapKind.NONE)
+    assert table.total_pages == 0
 
 
 def test_total_and_resident_counts():
     table = PageTable(owner=None)
-    pages = [table.build_page(PageKind.ANON, HeapKind.JAVA) for _ in range(5)]
+    pages = [build_one(table, PageKind.ANON, HeapKind.JAVA) for _ in range(5)]
     assert table.total_pages == 5
     assert table.resident_pages == 0
     pages[0].present = True
@@ -84,8 +100,8 @@ def test_total_and_resident_counts():
 
 def test_evicted_pages_counts_shadowed_only():
     table = PageTable(owner=None)
-    a = table.build_page(PageKind.ANON, HeapKind.JAVA)
-    b = table.build_page(PageKind.ANON, HeapKind.JAVA)
+    a = build_one(table, PageKind.ANON, HeapKind.JAVA)
+    b = build_one(table, PageKind.ANON, HeapKind.JAVA)
     a.shadow_eviction_clock = 3
     assert table.evicted_pages == 1
     b.present = True
@@ -94,8 +110,8 @@ def test_evicted_pages_counts_shadowed_only():
 
 def test_resident_by_segment():
     table = PageTable(owner=None)
-    table.build_page(PageKind.FILE, HeapKind.NONE).present = True
-    table.build_page(PageKind.ANON, HeapKind.NATIVE)
+    build_one(table, PageKind.FILE, HeapKind.NONE).present = True
+    build_one(table, PageKind.ANON, HeapKind.NATIVE)
     counts = table.resident_by_segment()
     assert counts[PageTable.FILE_MAP] == 1
     assert counts[PageTable.NATIVE_HEAP] == 0
@@ -103,9 +119,15 @@ def test_resident_by_segment():
 
 def test_all_pages_iterates_everything():
     table = PageTable(owner=None)
-    built = {
-        table.build_page(PageKind.ANON, HeapKind.JAVA).page_id,
-        table.build_page(PageKind.ANON, HeapKind.NATIVE).page_id,
-        table.build_page(PageKind.FILE, HeapKind.NONE).page_id,
-    }
-    assert {page.page_id for page in table.all_pages()} == built
+    table.build_block(1, PageKind.FILE, HeapKind.NONE)
+    table.build_block(2, PageKind.ANON, HeapKind.NATIVE)
+    table.build_block(1, PageKind.ANON, HeapKind.JAVA)
+    # java -> native -> file, the order per-process reclaim walks.
+    ids = table.all_page_ids()
+    assert ids == (
+        table.ids_of(PageTable.JAVA_HEAP)
+        + table.ids_of(PageTable.NATIVE_HEAP)
+        + table.ids_of(PageTable.FILE_MAP)
+    )
+    assert len(ids) == 4
+    assert [page.page_id for page in table.all_pages()] == ids

@@ -4,14 +4,14 @@ import pytest
 
 from repro.kernel.page import HeapKind, Page, PageKind
 
-from tests.conftest import make_pages
+from tests.conftest import make_pages, page_ids
 
 
 def evict_all(mm, pages):
-    mm.make_resident_bulk(pages)
+    mm.make_resident_bulk_ids(page_ids(pages))
     for page in pages:
-        mm.lru.discard(page)
-        mm._evict_page(page, now=0.0)
+        mm.lru.discard_id(page.page_id)
+        mm._evict_page_id(page.page_id)
 
 
 def test_first_touch_anon_is_minor(mm, fault_handler):
@@ -88,7 +88,7 @@ def test_refaulted_page_enters_active_list(mm, fault_handler):
 
 def test_spurious_fault_on_present_page_is_cheap(mm, fault_handler):
     page = make_pages(1)[0]
-    mm.make_resident(page)
+    mm.make_resident_id(page.page_id)
     before = mm.vmstat.pgfault
     outcome = fault_handler.handle(page, pid=1, uid=1, foreground=True)
     assert mm.vmstat.pgfault == before

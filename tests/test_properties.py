@@ -12,11 +12,14 @@ from repro.core.mapping_table import (
 )
 from repro.kernel.lru import LruKind, LruLists
 from repro.kernel.page import HeapKind, Page, PageKind
+from repro.kernel.slab import KIND_ANON, KIND_FILE, PAGE_SLAB
 from repro.kernel.workingset import WorkingSet
 from repro.metrics.stats import percentile
 from repro.sim.engine import Simulator
 from repro.storage.block import BlockQueue, IoDirection
 from repro.storage.zram import ZramDevice, ZramFullError
+
+from tests.conftest import relink
 
 
 # ----------------------------------------------------------------------
@@ -42,17 +45,18 @@ def test_lru_membership_invariants(ops):
     on_list = set()
     for op, index in ops:
         page = pages[index]
+        i = page.page_id
         if op == "add" and index not in on_list:
-            lru.add(page)
+            lru.add_id(i)
             on_list.add(index)
         elif op == "activate" and index in on_list:
-            lru.activate(page)
+            relink(lru, i, active=True)
         elif op == "deactivate" and index in on_list:
-            lru.deactivate(page)
+            relink(lru, i, active=False)
         elif op == "rotate" and index in on_list:
-            lru.rotate(page)
+            relink(lru, i)
         elif op == "remove" and index in on_list:
-            lru.remove(page)
+            lru.remove_id(i)
             on_list.discard(index)
         elif op == "touch":
             page.referenced = True
@@ -62,10 +66,11 @@ def test_lru_membership_invariants(ops):
     for index, page in enumerate(pages):
         assert (page.lru is not None) == (index in on_list)
     # Invariant 3: anon pages never sit on file lists and vice versa.
+    kind_col = PAGE_SLAB.kind
     for kind in (LruKind.ACTIVE_ANON, LruKind.INACTIVE_ANON):
-        assert all(page.is_anon for page in lru.iter_pages(kind))
+        assert all(kind_col[i] == KIND_ANON for i in lru.iter_ids(kind))
     for kind in (LruKind.ACTIVE_FILE, LruKind.INACTIVE_FILE):
-        assert all(page.is_file for page in lru.iter_pages(kind))
+        assert all(kind_col[i] == KIND_FILE for i in lru.iter_ids(kind))
 
 
 @settings(max_examples=40, deadline=None)
@@ -78,14 +83,15 @@ def test_lru_scan_conserves_pages(budget, referenced):
     for flag in referenced:
         page = Page(kind=PageKind.ANON, owner=None, heap=HeapKind.JAVA)
         page.referenced = flag
-        lru.add(page)
+        lru.add_id(page.page_id)
         pages.append(page)
-    victims, scanned = lru.scan_inactive(LruKind.INACTIVE_ANON, budget=budget)
+    was_referenced = {page.page_id for page in pages if page.referenced}
+    victims, scanned = lru.scan_inactive_ids(LruKind.INACTIVE_ANON, budget=budget)
     assert scanned == min(budget, len(pages))
     assert len(victims) + lru.total == len(pages)
-    assert len({page.page_id for page in victims}) == len(victims)
+    assert len(set(victims)) == len(victims)
     # Referenced pages are never evicted (second chance).
-    assert all(not page.referenced or False for page in victims)
+    assert not was_referenced & set(victims)
 
 
 # ----------------------------------------------------------------------
@@ -147,12 +153,13 @@ def test_block_queue_completion_order(requests):
 def test_refault_distance_exact(interleaved):
     ws = WorkingSet()
     target = Page(kind=PageKind.ANON, owner=None, heap=HeapKind.JAVA)
-    ws.record_eviction(target)
+    ws.record_eviction_id(target.page_id)
     for _ in range(interleaved):
-        ws.record_eviction(Page(kind=PageKind.ANON, owner=None,
-                                heap=HeapKind.JAVA))
-    event = ws.check_refault(0.0, target, pid=1, uid=1, foreground=False)
-    assert event.refault_distance == interleaved
+        ws.record_eviction_id(Page(kind=PageKind.ANON, owner=None,
+                                   heap=HeapKind.JAVA).page_id)
+    distance = ws.check_refault_id(0.0, target.page_id, pid=1, uid=1,
+                                   foreground=False)
+    assert distance == interleaved
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 from repro.kernel.reclaim import Kswapd
 
-from tests.conftest import make_pages
+from tests.conftest import make_pages, page_ids
 
 
 def fill(mm, count):
     pages = make_pages(count)
-    mm.make_resident_bulk(pages)
+    mm.make_resident_bulk_ids(page_ids(pages))
     return pages
 
 

@@ -31,6 +31,8 @@ from repro.kernel.page import HeapKind, Page, PageKind, reset_page_ids
 from repro.kernel.slab import PAGE_SLAB
 from repro.kernel.workingset import SHADOW_ENTRY_BYTES, WorkingSet
 
+from tests.conftest import relink
+
 
 # ----------------------------------------------------------------------
 # Reference implementation (the pre-slab object-backed semantics)
@@ -179,7 +181,7 @@ def _make_pages(is_file):
 
 def _assert_orderings_match(lru, ref, ids):
     for code, kind in CODE_TO_KIND.items():
-        slab_order = [page.page_id for page in lru.iter_pages(kind)]
+        slab_order = list(lru.iter_ids(kind))
         ref_order = [ids[index] for index in ref.order(code)]
         assert slab_order == ref_order, f"list {kind} diverged"
         assert lru.size(kind) == len(ref.order(code))
@@ -208,22 +210,23 @@ def _drive(seed, steps, page_count, shadow_budget_entries=None):
         op = rng.randrange(10)
         index = rng.randrange(page_count)
         page = pages[index]
+        i = ids[index]
         on_list = ref._code_of(index) is not None
         if op == 0 and not on_list:
             active = rng.random() < 0.5
-            lru.add(page, active)
+            lru.add_id(i, active)
             ref.add(index, active)
         elif op == 1 and on_list:
-            lru.activate(page)
+            relink(lru, i, active=True)
             ref.activate(index)
         elif op == 2 and on_list:
-            lru.deactivate(page)
+            relink(lru, i, active=False)
             ref.deactivate(index)
         elif op == 3 and on_list:
-            lru.rotate(page)
+            relink(lru, i)
             ref.rotate(index)
         elif op == 4 and on_list:
-            lru.remove(page)
+            lru.remove_id(i)
             ref.remove(index)
         elif op == 5:
             # Touch: set the young bit in both worlds.
@@ -241,7 +244,7 @@ def _drive(seed, steps, page_count, shadow_budget_entries=None):
             code = rng.choice((2, 4))
             budget = rng.randrange(1, 2 * page_count)
             protected_ids = {ids[j] for j in protected}
-            victims, scanned = lru.scan_inactive(
+            victims, scanned = lru.scan_inactive_ids(
                 CODE_TO_KIND[code],
                 budget=budget,
                 protect=lambda p: p.page_id in protected_ids,
@@ -249,12 +252,10 @@ def _drive(seed, steps, page_count, shadow_budget_entries=None):
             ref_victims, ref_scanned = ref.scan_inactive(
                 code, budget, protected
             )
-            assert [v.page_id for v in victims] == [
-                ids[j] for j in ref_victims
-            ]
+            assert victims == [ids[j] for j in ref_victims]
             assert scanned == ref_scanned
             for victim in victims:
-                ws.record_eviction(victim)
+                ws.record_eviction_id(victim)
             for j in ref_victims:
                 ref.record_eviction(j)
         elif op == 8:
@@ -317,15 +318,15 @@ def test_refault_distances_match_reference(seed):
     ref = RefState(is_file)
     for _ in range(400):
         index = rng.randrange(16)
-        page = pages[index]
+        i = ids[index]
         if ref._code_of(index) is None:
-            lru.add(page)
+            lru.add_id(i)
             ref.add(index, False)
             continue
         # Evict it (pull off the list, install a shadow entry) ...
-        lru.remove(page)
+        lru.remove_id(i)
         ref.remove(index)
-        ws.record_eviction(page)
+        ws.record_eviction_id(i)
         ref.record_eviction(index)
         # ... and refault it with probability 1/2, possibly much later.
         if rng.random() < 0.5:
